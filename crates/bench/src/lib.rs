@@ -1,9 +1,11 @@
 //! Shared fixtures for the Criterion benchmark suite.
 //!
-//! Each bench target in `benches/` regenerates one of the paper's tables or
-//! figures at bench scale (small enough for Criterion's repeated sampling,
-//! large enough that the measured kernels dominate setup noise). Generation
-//! is deterministic, so every Criterion sample measures identical work.
+//! Each bench target in `benches/` writes one `BENCH_*.json` perf
+//! trajectory (or, with the `smoke` feature, a seconds-scale JSON that
+//! `perf_guard` gates in CI). The paper's tables and figures are
+//! regenerated by the `repro` binary of `d2pr-experiments`. Fixture
+//! generation is deterministic, so every Criterion sample measures
+//! identical work.
 
 pub mod perf_guard;
 
@@ -27,13 +29,6 @@ pub fn bench_graph(graph: d2pr_datagen::worlds::PaperGraph) -> (CsrGraph, Vec<f6
     let world = bench_world(graph.dataset());
     let (g, s) = graph.view(&world);
     (g.to_unweighted(), s.to_vec())
-}
-
-/// A weighted paper graph plus its significance at bench scale.
-pub fn bench_graph_weighted(graph: d2pr_datagen::worlds::PaperGraph) -> (CsrGraph, Vec<f64>) {
-    let world = bench_world(graph.dataset());
-    let (g, s) = graph.view(&world);
-    (g.clone(), s.to_vec())
 }
 
 /// The host's CPU count as the benches record it (1 when the OS refuses
@@ -137,7 +132,5 @@ mod tests {
         let (g, s) = bench_graph(PaperGraph::ImdbActorActor);
         assert!(g.num_nodes() > 0);
         assert_eq!(g.num_nodes(), s.len());
-        let (gw, _) = bench_graph_weighted(PaperGraph::ImdbActorActor);
-        assert!(gw.is_weighted());
     }
 }

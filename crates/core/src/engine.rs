@@ -23,13 +23,12 @@
 //! teleport vectors are supported, and every entry point returns
 //! [`SolverError`] instead of panicking. See `DESIGN.md` for the layout.
 //!
-//! The barrier/worker machinery in this module is also reused by the
-//! transpose-level solver in [`crate::parallel`].
+//! The engine holds one operator representation. The pull kernel, the
+//! Gauss–Seidel kernel (`crate::gauss_seidel`) and the residual push
+//! (`crate::residual`) all read it; no solve path materializes a copy.
 
 use crate::error::{SolverError, UpdateError};
 use crate::exec::{sim_event, ExecBarrier};
-#[cfg(feature = "prefetch")]
-use crate::kernel::prefetch_gather;
 use crate::kernel::{gather_plain, gather_weighted};
 use crate::pagerank::{DanglingPolicy, PageRankConfig, PageRankResult};
 use crate::pool::{PadCell, SharedMut, WorkerPool};
@@ -58,14 +57,14 @@ pub fn default_threads() -> usize {
 /// sequential — so this flag takes effect exactly on the single-partition
 /// path (1 worker, or graphs too small to split). Both kernels converge to
 /// the same fixed points (parity-tested to 1e-8 in `tests/incremental.rs`);
-/// Gauss–Seidel typically halves iteration counts on well-ordered graphs
-/// at the cost of an `O(E)` per-point operator materialization.
+/// Gauss–Seidel typically halves iteration counts on well-ordered graphs.
+/// Both read the same loaded operator, rewritten in place per grid point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepKernel {
     /// Ping-pong pull kernel with Aitken extrapolation (the default).
     #[default]
     Pull,
-    /// In-place Gauss–Seidel sweeps (`crate::gauss_seidel`), policy- and
+    /// In-place Gauss–Seidel sweeps over the loaded operator, policy- and
     /// teleport-complete, warm-start chained across grid points.
     GaussSeidel,
 }
@@ -939,7 +938,7 @@ impl<'g> Engine<'g> {
         let model = self
             .model
             .ok_or_else(|| SolverError::InvalidModel("no transition model loaded".into()))?;
-        let mut out = self.sweep_with_teleport(&[model], teleport, false)?;
+        let mut out = self.sweep_inner(&[model], teleport, false, None)?;
         Ok(out.pop().expect("one model yields one result"))
     }
 
@@ -966,21 +965,7 @@ impl<'g> Engine<'g> {
         models: &[TransitionModel],
         warm_start: bool,
     ) -> Result<Vec<PageRankResult>, SolverError> {
-        self.sweep_with_teleport(models, None, warm_start)
-    }
-
-    /// [`Engine::sweep`] with an optional teleport distribution shared by
-    /// every grid point.
-    ///
-    /// # Errors
-    /// Fails fast on the first invalid input; no solves run in that case.
-    pub fn sweep_with_teleport(
-        &mut self,
-        models: &[TransitionModel],
-        teleport: Option<&[f64]>,
-        warm_start: bool,
-    ) -> Result<Vec<PageRankResult>, SolverError> {
-        self.sweep_inner(models, teleport, warm_start, None)
+        self.sweep_inner(models, None, warm_start, None)
     }
 
     /// Re-solve after an incremental graph update with a warm-started
@@ -998,9 +983,8 @@ impl<'g> Engine<'g> {
     /// mass.
     ///
     /// This entry point serves **uniform-teleport** ranks (it resets any
-    /// previously set teleport); use
-    /// [`Engine::resolve_warm_with_teleport`] when serving personalized
-    /// PageRank.
+    /// previously set teleport); personalized PageRank is refreshed through
+    /// [`Engine::resolve_incremental_tracked`], which takes the teleport.
     ///
     /// # Errors
     /// Returns [`UpdateError::Solver`] when no model is loaded, the config
@@ -1008,38 +992,7 @@ impl<'g> Engine<'g> {
     /// ([`SolverError::WarmStartLength`]) or no usable mass
     /// ([`SolverError::WarmStartMass`]).
     pub fn resolve_warm(&mut self, previous: &[f64]) -> Result<PageRankResult, UpdateError> {
-        self.resolve_warm_with_teleport(previous, None)
-    }
-
-    /// [`Engine::resolve_warm`] with an explicit teleport distribution
-    /// (normalized internally; `None` = uniform) — the warm-sweep serving
-    /// path for personalized PageRank. Pass the same teleport the previous
-    /// solve used; otherwise the re-solve converges to a different fixed
-    /// point than the one being served.
-    ///
-    /// # Errors
-    /// As [`Engine::resolve_warm`], plus the teleport validation errors of
-    /// [`Engine::solve_with_teleport`].
-    pub fn resolve_warm_with_teleport(
-        &mut self,
-        previous: &[f64],
-        teleport: Option<&[f64]>,
-    ) -> Result<PageRankResult, UpdateError> {
-        let model = self
-            .model
-            .ok_or_else(|| SolverError::InvalidModel("no transition model loaded".into()))
-            .map_err(UpdateError::Solver)?;
-        let n = self.graph.num_nodes();
-        if previous.len() != n {
-            return Err(UpdateError::Solver(SolverError::WarmStartLength {
-                got: previous.len(),
-                expected: n,
-            }));
-        }
-        let mut out = self
-            .sweep_inner(&[model], teleport, false, Some(previous))
-            .map_err(UpdateError::Solver)?;
-        Ok(out.pop().expect("one model yields one result"))
+        Ok(self.warm_outcome(previous, None, None)?.result)
     }
 
     /// Re-solve after an incremental graph update, **auto-selecting** the
@@ -1074,52 +1027,27 @@ impl<'g> Engine<'g> {
         previous: &[f64],
         delta: &ArcDelta,
     ) -> Result<IncrementalOutcome, UpdateError> {
-        self.resolve_incremental_with_teleport(previous, None, delta)
+        self.resolve_inner(previous, None, delta, false, None, None)
     }
 
     /// [`Engine::resolve_incremental`] with an explicit teleport
-    /// distribution (normalized internally; `None` = uniform).
+    /// distribution (normalized internally; `None` = uniform; pass the
+    /// teleport the previous solve used), delivering the refreshed scores
+    /// into `out` and reporting *which* nodes the refresh may have moved
+    /// (beyond the uniform rescale) in `touched` — the serving layer's
+    /// entry point.
     ///
-    /// # Errors
-    /// As [`Engine::resolve_incremental`].
-    pub fn resolve_incremental_with_teleport(
-        &mut self,
-        previous: &[f64],
-        teleport: Option<&[f64]>,
-        delta: &ArcDelta,
-    ) -> Result<IncrementalOutcome, UpdateError> {
-        self.resolve_inner(previous, teleport, delta, false, None, None)
-    }
-
-    /// [`Engine::resolve_incremental_with_teleport`], delivering the
-    /// refreshed scores into `out` instead of an owned allocation — the
-    /// zero-copy publication path of
-    /// [`ServingEngine`](crate::serving::ServingEngine). On the localized
-    /// serving path the push writes the workspace's rank buffer and this
-    /// entry point *swaps* that buffer with `out` (`out`'s previous
-    /// allocation becomes the next solve's scratch); the sweep paths move
-    /// their already-owned result vector. Either way the returned
-    /// [`IncrementalOutcome`]'s `result.scores` is left **empty** — the
-    /// scores live in `out`, whose previous contents are discarded.
-    ///
-    /// # Errors
-    /// As [`Engine::resolve_incremental`].
-    pub fn resolve_incremental_into(
-        &mut self,
-        previous: &[f64],
-        teleport: Option<&[f64]>,
-        delta: &ArcDelta,
-        out: &mut Vec<f64>,
-    ) -> Result<IncrementalOutcome, UpdateError> {
-        self.resolve_inner(previous, teleport, delta, false, Some(out), None)
-    }
-
-    /// [`Engine::resolve_incremental_into`], additionally reporting *which*
-    /// nodes the refresh may have moved (beyond the uniform rescale) in
-    /// `touched` — see [`TouchedSet`] for the exact contract. This is the
-    /// serving layer's entry point for incremental top-k index repair: a
-    /// localized push yields the exact written-node set, every sweep path
-    /// conservatively reports `all`.
+    /// * **Zero-copy delivery.** On the localized path the push writes the
+    ///   workspace's rank buffer and this entry point *swaps* that buffer
+    ///   with `out` (`out`'s previous allocation becomes the next solve's
+    ///   scratch); the sweep paths move their already-owned result vector.
+    ///   Either way the returned [`IncrementalOutcome`]'s `result.scores`
+    ///   is left **empty** — the scores live in `out`, whose previous
+    ///   contents are discarded.
+    /// * **Touched set.** See [`TouchedSet`] for the exact contract: a
+    ///   localized push yields the exact written-node set (the repair
+    ///   frontier of the maintained top-k index), every sweep path
+    ///   conservatively reports `all`.
     ///
     /// # Errors
     /// As [`Engine::resolve_incremental`].
@@ -1161,21 +1089,7 @@ impl<'g> Engine<'g> {
         previous: &[f64],
         delta: &ArcDelta,
     ) -> Result<IncrementalOutcome, UpdateError> {
-        self.resolve_localized_with_teleport(previous, None, delta)
-    }
-
-    /// [`Engine::resolve_localized`] with an explicit teleport distribution
-    /// (normalized internally; `None` = uniform).
-    ///
-    /// # Errors
-    /// As [`Engine::resolve_incremental`].
-    pub fn resolve_localized_with_teleport(
-        &mut self,
-        previous: &[f64],
-        teleport: Option<&[f64]>,
-        delta: &ArcDelta,
-    ) -> Result<IncrementalOutcome, UpdateError> {
-        self.resolve_inner(previous, teleport, delta, true, None, None)
+        self.resolve_inner(previous, None, delta, true, None, None)
     }
 
     /// Whether the localized solver can serve the current configuration.
@@ -1283,7 +1197,7 @@ impl<'g> Engine<'g> {
     /// skips the frontier-size heuristic (explicit
     /// [`Engine::resolve_localized`] calls); `out`, when given, receives
     /// the refreshed scores by swap/move and `result.scores` stays empty
-    /// (see [`Engine::resolve_incremental_into`]).
+    /// (see [`Engine::resolve_incremental_tracked`]).
     fn resolve_inner(
         &mut self,
         previous: &[f64],
@@ -1375,10 +1289,9 @@ impl<'g> Engine<'g> {
             .init_rank(n, Some(previous))
             .map_err(UpdateError::Solver)?;
 
-        // Tiny graphs: the (policy-complete) dense Gauss–Seidel solver is
-        // cheaper than push bookkeeping and halves sweep counts. The
-        // transpose it sweeps is the engine's **shared** structure (`Arc`
-        // clone) — not re-derived per call.
+        // Tiny graphs: the (policy-complete) dense Gauss–Seidel kernel is
+        // cheaper than push bookkeeping and halves sweep counts. It sweeps
+        // the loaded operator, warm-started from `previous`.
         const DENSE_GS_NODES: usize = 128;
         if n <= DENSE_GS_NODES {
             // Dense Gauss–Seidel (and its warm-sweep rescue) rewrites the
@@ -1386,23 +1299,8 @@ impl<'g> Engine<'g> {
             if let Some(t) = touched_out.as_deref_mut() {
                 t.mark_all();
             }
-            let matrix = self.to_matrix().expect("model loaded");
-            let transpose = crate::parallel::TransposedMatrix::from_structure(
-                self.shared_structure(),
-                self.graph,
-                &matrix,
-            );
-            let r = crate::gauss_seidel::gauss_seidel_with_workspace(
-                self.graph,
-                &transpose,
-                &self.config,
-                teleport,
-                Some(previous),
-                &mut self.ws,
-            )
-            .map_err(UpdateError::Solver)?;
+            let mut r = self.gauss_seidel_loaded();
             if r.converged {
-                let mut r = r;
                 deliver_scores(&mut r, out);
                 return Ok(IncrementalOutcome {
                     result: r,
@@ -1529,14 +1427,30 @@ impl<'g> Engine<'g> {
         })
     }
 
-    /// Warm-sweep fallback shared by the incremental entry points.
+    /// Warm-started full sweep from `previous` ([`Engine::resolve_warm`]),
+    /// also the fallback of the incremental entry points.
     fn warm_outcome(
         &mut self,
         previous: &[f64],
         teleport: Option<&[f64]>,
         out: Option<&mut Vec<f64>>,
     ) -> Result<IncrementalOutcome, UpdateError> {
-        let mut result = self.resolve_warm_with_teleport(previous, teleport)?;
+        let model = self
+            .model
+            .ok_or_else(|| SolverError::InvalidModel("no transition model loaded".into()))
+            .map_err(UpdateError::Solver)?;
+        let n = self.graph.num_nodes();
+        if previous.len() != n {
+            return Err(UpdateError::Solver(SolverError::WarmStartLength {
+                got: previous.len(),
+                expected: n,
+            }));
+        }
+        let mut result = self
+            .sweep_inner(&[model], teleport, false, Some(previous))
+            .map_err(UpdateError::Solver)?
+            .pop()
+            .expect("one model yields one result");
         deliver_scores(&mut result, out);
         Ok(IncrementalOutcome {
             result,
@@ -1577,70 +1491,36 @@ impl<'g> Engine<'g> {
         }
         self.ws.set_teleport(n, teleport)?;
         if self.partitions.len() <= 1 {
-            if self.kernel == SweepKernel::GaussSeidel {
-                self.sweep_serial_gs(models, teleport, warm_start, init)
-            } else {
-                self.sweep_serial(models, warm_start, init)
-            }
+            self.sweep_serial(models, warm_start, init)
         } else {
             self.sweep_pooled(models, warm_start, init)
         }
     }
 
-    /// The alternative single-partition kernel ([`SweepKernel::GaussSeidel`]):
-    /// in-place Gauss–Seidel sweeps through the policy-complete solver in
-    /// [`crate::gauss_seidel`], the operator materialized per grid point
-    /// over the engine's **shared** transpose (no `CscStructure` rebuild).
-    /// Warm starts chain across grid points exactly like the pull sweep.
-    fn sweep_serial_gs(
-        &mut self,
-        models: &[TransitionModel],
-        teleport: Option<&[f64]>,
-        warm_start: bool,
-        init: Option<&[f64]>,
-    ) -> Result<Vec<PageRankResult>, SolverError> {
-        let mut results = Vec::with_capacity(models.len());
-        let mut carry: Option<Vec<f64>> = None;
-        for (pi, &model) in models.iter().enumerate() {
-            // Gauss–Seidel consumes the matrix built below, never the
-            // engine's pull operator — loading that too would double the
-            // per-point `O(E)` cost (and force the arc permutation the
-            // serving path skips). Only the *last* point runs `set_model`,
-            // so the engine's operator state stays consistent with
-            // `self.model` for whatever runs next.
-            if pi + 1 == models.len() && self.model != Some(model) {
-                self.set_model(model)?;
+    /// Gauss–Seidel over the loaded operator, from the workspace's
+    /// current iterate and teleport.
+    fn gauss_seidel_loaded(&mut self) -> PageRankResult {
+        let op = if self.factored {
+            EngineOp::Factored {
+                numer: &self.node_numer,
+                inv_denom: &self.inv_denom,
             }
-            let matrix = TransitionMatrix::build_with_theta(self.graph, model, &self.theta);
-            let transpose = crate::parallel::TransposedMatrix::from_structure(
-                self.shared_structure(),
-                self.graph,
-                &matrix,
-            );
-            let seed = if pi == 0 {
-                init
-            } else if warm_start {
-                carry.as_deref()
-            } else {
-                None
-            };
-            let r = crate::gauss_seidel::gauss_seidel_with_workspace(
-                self.graph,
-                &transpose,
-                &self.config,
-                teleport,
-                seed,
-                &mut self.ws,
-            )?;
-            if warm_start {
-                carry = Some(r.scores.clone());
-            }
-            results.push(r);
-        }
-        Ok(results)
+        } else {
+            EngineOp::Arc(&self.in_probs)
+        };
+        crate::gauss_seidel::solve(
+            &PullTopo::new(&self.csc, &self.dangling_mask),
+            op,
+            &self.config,
+            &mut self.ws.rank,
+            &self.ws.teleport,
+            &mut self.scaled_a,
+        )
     }
 
-    /// Single-threaded sweep (no pool, same math, same buffers).
+    /// Single-threaded sweep (no pool, same math, same buffers) with the
+    /// configured [`SweepKernel`]. Both kernels read the operator
+    /// [`Engine::set_model`] loads for each point.
     fn sweep_serial(
         &mut self,
         models: &[TransitionModel],
@@ -1660,13 +1540,11 @@ impl<'g> Engine<'g> {
             } else if !warm_start {
                 self.ws.init_rank(n, None)?;
             }
-            let topo = PullTopo {
-                in_offsets: self.csc.in_offsets(),
-                narrow_in_offsets: self.csc.narrow_in_offsets(),
-                in_sources: self.csc.in_sources(),
-                dangling_mask: &self.dangling_mask,
-                dangling_nodes: self.csc.dangling(),
-            };
+            if self.kernel == SweepKernel::GaussSeidel {
+                results.push(self.gauss_seidel_loaded());
+                continue;
+            }
+            let topo = PullTopo::new(&self.csc, &self.dangling_mask);
             let op = if self.factored {
                 EngineOp::Factored {
                     numer: &self.node_numer,
@@ -1681,7 +1559,7 @@ impl<'g> Engine<'g> {
                 &self.config,
                 &mut self.ws.rank,
                 &mut self.ws.next,
-                Some((&mut self.scaled_a, &mut self.scaled_b)),
+                (&mut self.scaled_a, &mut self.scaled_b),
                 &self.ws.teleport,
             );
             results.push(PageRankResult {
@@ -1761,22 +1639,16 @@ impl<'g> Engine<'g> {
             Some(&teleport[..])
         };
 
-        let topo = PullTopo {
-            in_offsets: csc.in_offsets(),
-            narrow_in_offsets: csc.narrow_in_offsets(),
-            in_sources: csc.in_sources(),
-            dangling_mask,
-            dangling_nodes: csc.dangling(),
-        };
+        let topo = PullTopo::new(csc, dangling_mask);
         let shared = PoolShared::new(
             &topo,
             SharedMut::new(in_probs),
             [SharedMut::new(rank), SharedMut::new(next)],
-            Some(FactoredShared {
+            FactoredShared {
                 numer: SharedMut::new(node_numer),
                 inv_denom: SharedMut::new(inv_denom),
                 scaled: [SharedMut::new(scaled_a), SharedMut::new(scaled_b)],
-            }),
+            },
             teleport,
             &config,
             partitions.len(),
@@ -1800,7 +1672,7 @@ impl<'g> Engine<'g> {
                 // `solve_model`/`solve` arrive with the operator already
                 // loaded by `set_model`; don't rebuild it for that point.
                 let point_factored = factored_eligible(max_log_theta, &model);
-                let fshared = shared.factored.as_ref().expect("provided above");
+                let fshared = &shared.factored;
                 let already_loaded = pi == 0 && *current_model == Some(model);
                 if !already_loaded {
                     if point_factored {
@@ -1873,7 +1745,8 @@ impl<'g> Engine<'g> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared pull-kernel machinery (also used by `crate::parallel`)
+// Pull-kernel machinery (the topology and operator views are shared with
+// `crate::gauss_seidel`)
 // ---------------------------------------------------------------------------
 
 /// Immutable topology handed to the pull kernel.
@@ -1894,6 +1767,17 @@ pub(crate) struct PullTopo<'a> {
 }
 
 impl<'a> PullTopo<'a> {
+    /// View of the engine's transpose and dangling mask.
+    pub(crate) fn new(csc: &'a CscStructure, dangling_mask: &'a [bool]) -> Self {
+        Self {
+            in_offsets: csc.in_offsets(),
+            narrow_in_offsets: csc.narrow_in_offsets(),
+            in_sources: csc.in_sources(),
+            dangling_mask,
+            dangling_nodes: csc.dangling(),
+        }
+    }
+
     /// In-arc span of destination `j`, read from the narrow offsets when
     /// available (one well-predicted branch per row).
     #[inline(always)]
@@ -1901,19 +1785,6 @@ impl<'a> PullTopo<'a> {
         match self.narrow_in_offsets {
             Some(o) => (o[j] as usize, o[j + 1] as usize),
             None => (self.in_offsets[j], self.in_offsets[j + 1]),
-        }
-    }
-
-    /// Sources of row `j + 1` when it exists — the one-row prefetch
-    /// lookahead of the pull kernel (`prefetch` feature).
-    #[cfg(feature = "prefetch")]
-    #[inline(always)]
-    fn next_row(&self, j: usize) -> &'a [u32] {
-        if j + 2 < self.in_offsets.len() {
-            let (s, e) = self.span(j + 1);
-            &self.in_sources[s..e]
-        } else {
-            &[]
         }
     }
 }
@@ -2086,14 +1957,6 @@ fn pull_range(
     let self_loop = params.policy == DanglingPolicy::SelfLoop;
     let mut out = RangeOut::default();
     let base_start = range.start;
-    // The gather's read target: prefetching the *next* row against it
-    // overlaps DRAM latency with the current row's compute (opt-in — see
-    // the `prefetch` feature).
-    #[cfg(feature = "prefetch")]
-    let gather_vals = match op {
-        EngineOp::Arc(_) => rank,
-        EngineOp::Factored { .. } => scaled_rank,
-    };
     for j in range {
         let tj = teleport.map_or(params.uniform, |t| t[j]);
         let is_dangling = topo.dangling_mask[j];
@@ -2103,8 +1966,6 @@ fn pull_range(
         }
         let (s, e) = topo.span(j);
         let srcs = &topo.in_sources[s..e];
-        #[cfg(feature = "prefetch")]
-        prefetch_gather(topo.next_row(j), gather_vals);
         let val = match op {
             EngineOp::Arc(in_probs) => base + alpha * gather_weighted(srcs, &in_probs[s..e], rank),
             EngineOp::Factored { numer, inv_denom } => {
@@ -2148,16 +2009,9 @@ fn pull_range_plain(
 ) -> RangeOut {
     let mut out = RangeOut::default();
     let base_start = range.start;
-    #[cfg(feature = "prefetch")]
-    let gather_vals = match op {
-        EngineOp::Arc(_) => rank,
-        EngineOp::Factored { .. } => scaled_rank,
-    };
     for j in range {
         let (s, e) = topo.span(j);
         let srcs = &topo.in_sources[s..e];
-        #[cfg(feature = "prefetch")]
-        prefetch_gather(topo.next_row(j), gather_vals);
         let val = match op {
             EngineOp::Arc(in_probs) => base + alpha * gather_weighted(srcs, &in_probs[s..e], rank),
             EngineOp::Factored { numer, inv_denom } => {
@@ -2229,16 +2083,16 @@ fn extrapolation_factor(prev_q: f64, q: f64) -> Option<f64> {
 const EXTRAPOLATION_COOLDOWN: usize = 3;
 
 /// Serial iteration loop over plain buffers. `rank` must hold the initial
-/// iterate; on return it holds the final scores. `scaled_bufs` provides the
-/// reusable `rank·inv_denom` ping-pong pair required by factored operators
-/// (pass `None` for arc operators). Returns `(iterations, residual)`.
-pub(crate) fn drive_serial(
+/// iterate; on return it holds the final scores. `scaled_bufs` is the
+/// reusable `rank·inv_denom` ping-pong pair of factored operators (left
+/// empty for arc operators). Returns `(iterations, residual)`.
+fn drive_serial(
     topo: &PullTopo<'_>,
     op: EngineOp<'_>,
     config: &PageRankConfig,
     rank: &mut Vec<f64>,
     next: &mut Vec<f64>,
-    scaled_bufs: Option<(&mut Vec<f64>, &mut Vec<f64>)>,
+    scaled_bufs: (&mut Vec<f64>, &mut Vec<f64>),
     teleport: &[f64],
 ) -> (usize, f64) {
     let n = rank.len();
@@ -2249,9 +2103,7 @@ pub(crate) fn drive_serial(
         Some(teleport)
     };
     let factored = matches!(op, EngineOp::Factored { .. });
-    let mut fallback_a = Vec::new();
-    let mut fallback_b = Vec::new();
-    let (scaled_rank, scaled_next) = scaled_bufs.unwrap_or((&mut fallback_a, &mut fallback_b));
+    let (scaled_rank, scaled_next) = scaled_bufs;
     if let EngineOp::Factored { inv_denom, .. } = op {
         scaled_rank.clear();
         scaled_rank.extend(rank.iter().zip(inv_denom).map(|(r, d)| r * d));
@@ -2346,22 +2198,22 @@ enum Phase {
 
 /// Shared buffers of a factored operator (see [`EngineOp::Factored`]).
 #[derive(Debug)]
-pub(crate) struct FactoredShared {
+struct FactoredShared {
     /// Destination factors `Θ_j^(−p)` (rewritten between grid points).
-    pub(crate) numer: SharedMut<f64>,
+    numer: SharedMut<f64>,
     /// Source factors `1/denom_i` (rewritten between grid points).
-    pub(crate) inv_denom: SharedMut<f64>,
+    inv_denom: SharedMut<f64>,
     /// `rank·inv_denom` ping-pong pair, flipped with the rank buffers.
-    pub(crate) scaled: [SharedMut<f64>; 2],
+    scaled: [SharedMut<f64>; 2],
 }
 
 /// Everything the pooled workers share.
-pub(crate) struct PoolShared<'a> {
+struct PoolShared<'a> {
     topo: PullTopo<'a>,
     teleport: Option<&'a [f64]>,
     in_probs: SharedMut<f64>,
     bufs: [SharedMut<f64>; 2],
-    factored: Option<FactoredShared>,
+    factored: FactoredShared,
     flip: AtomicUsize,
     phase: AtomicU8,
     params: UnsafeCell<PullParams>,
@@ -2377,11 +2229,11 @@ pub(crate) struct PoolShared<'a> {
 unsafe impl Sync for PoolShared<'_> {}
 
 impl<'a> PoolShared<'a> {
-    pub(crate) fn new(
+    fn new(
         topo: &PullTopo<'a>,
         in_probs: SharedMut<f64>,
         bufs: [SharedMut<f64>; 2],
-        factored: Option<FactoredShared>,
+        factored: FactoredShared,
         teleport: Option<&'a [f64]>,
         config: &PageRankConfig,
         workers: usize,
@@ -2411,15 +2263,9 @@ impl<'a> PoolShared<'a> {
 
     /// Release parked workers into exit. Must be called exactly once, after
     /// the last [`drive_pooled_point`].
-    pub(crate) fn shutdown(&self) {
+    fn shutdown(&self) {
         self.phase.store(Phase::Exit as u8, Ordering::Release);
         self.start.wait();
-    }
-
-    /// `true` when the final iterate currently lives in `bufs[1]` (the
-    /// workspace's `next` buffer) rather than `bufs[0]`.
-    pub(crate) fn final_in_second_buf(&self) -> bool {
-        self.flip.load(Ordering::Relaxed) == 1
     }
 
     fn sum_partials(&self) -> RangeOut {
@@ -2440,7 +2286,7 @@ impl<'a> PoolShared<'a> {
 /// Drive the iteration loop for one grid point on an already-running pool.
 /// The rank buffer (`bufs[flip]`) must hold the initial iterate; on return
 /// it holds the final scores. Returns `(iterations, residual)`.
-pub(crate) fn drive_pooled_point(
+fn drive_pooled_point(
     shared: &PoolShared<'_>,
     config: &PageRankConfig,
     topo: &PullTopo<'_>,
@@ -2505,7 +2351,7 @@ pub(crate) fn drive_pooled_point(
                         *r += (*r - o) * f;
                     }
                     if factored {
-                        let fs = shared.factored.as_ref().expect("factored shares provided");
+                        let fs = &shared.factored;
                         let scaled = fs.scaled[flip].slice_mut();
                         let invd = fs.inv_denom.slice();
                         for ((s, &r), &d) in scaled.iter_mut().zip(rank.iter()).zip(invd) {
@@ -2530,7 +2376,7 @@ pub(crate) fn drive_pooled_point(
 /// Body of one pooled worker: park on the start barrier, run the requested
 /// phase over the assigned destination range, report partials, park on the
 /// end barrier. Lives until the main thread broadcasts [`Phase::Exit`].
-pub(crate) fn worker_loop(w: usize, range: Range<usize>, shared: &PoolShared<'_>) {
+fn worker_loop(w: usize, range: Range<usize>, shared: &PoolShared<'_>) {
     loop {
         shared.start.wait();
         match shared.phase.load(Ordering::Acquire) {
@@ -2545,7 +2391,7 @@ pub(crate) fn worker_loop(w: usize, range: Range<usize>, shared: &PoolShared<'_>
                 let next = unsafe { shared.bufs[flip ^ 1].range_mut(range.clone()) };
                 let mut empty: [f64; 0] = [];
                 let (op, scaled_rank, scaled_next) = if params.factored {
-                    let f = shared.factored.as_ref().expect("factored shares provided");
+                    let f = &shared.factored;
                     // SAFETY: same protocol as the rank buffers.
                     unsafe {
                         (
@@ -2588,7 +2434,7 @@ pub(crate) fn worker_loop(w: usize, range: Range<usize>, shared: &PoolShared<'_>
                 let next = unsafe { shared.bufs[flip ^ 1].range_mut(range.clone()) };
                 let mut empty: [f64; 0] = [];
                 let scaled_next = if params.factored {
-                    let f = shared.factored.as_ref().expect("factored shares provided");
+                    let f = &shared.factored;
                     // SAFETY: same protocol as the rank buffers.
                     unsafe { f.scaled[flip ^ 1].range_mut(range.clone()) }
                 } else {
@@ -2631,21 +2477,40 @@ mod tests {
             b.add_edge(v, v + 1);
             b.add_edge(v, (v * 7 + 3) % 40);
         }
-        let g = b.build().unwrap();
-        for policy in [
-            DanglingPolicy::RedistributeTeleport,
-            DanglingPolicy::SelfLoop,
-            DanglingPolicy::Renormalize,
-        ] {
-            let cfg = PageRankConfig {
-                dangling: policy,
-                ..Default::default()
-            };
-            let serial = pagerank(&g, TransitionModel::Standard, &cfg);
-            for threads in [1, 3, 8] {
-                let mut engine = Engine::with_threads(&g, threads).with_config(cfg).unwrap();
-                let r = engine.solve_model(TransitionModel::Standard).unwrap();
-                assert_close(&serial.scores, &r.scores, 1e-8);
+        let tails = b.build().unwrap();
+        // Every arc ends in dangling node 1 (node 3 is isolated).
+        let mut b = GraphBuilder::new(Direction::Directed, 4);
+        b.add_edge(0, 1);
+        b.add_edge(2, 1);
+        let tiny = b.build().unwrap();
+        for g in [&tails, &tiny] {
+            for policy in [
+                DanglingPolicy::RedistributeTeleport,
+                DanglingPolicy::SelfLoop,
+                DanglingPolicy::Renormalize,
+            ] {
+                let cfg = PageRankConfig {
+                    dangling: policy,
+                    tolerance: 1e-12,
+                    max_iterations: 2_000,
+                    ..Default::default()
+                };
+                let serial = pagerank(g, TransitionModel::Standard, &cfg);
+                for (threads, kernel) in [
+                    (1, SweepKernel::Pull),
+                    (3, SweepKernel::Pull),
+                    (8, SweepKernel::Pull),
+                    (1, SweepKernel::GaussSeidel),
+                ] {
+                    let mut engine = Engine::with_threads(g, threads)
+                        .with_config(cfg)
+                        .unwrap()
+                        .with_kernel(kernel);
+                    let r = engine.solve_model(TransitionModel::Standard).unwrap();
+                    assert!(r.converged, "{policy:?} {kernel:?}");
+                    assert!((r.scores.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+                    assert_close(&serial.scores, &r.scores, 1e-8);
+                }
             }
         }
     }
@@ -2725,6 +2590,12 @@ mod tests {
             engine.solve_with_teleport(Some(&[0.0; 10])),
             Err(SolverError::TeleportMass)
         ));
+        let mut gs = Engine::with_threads(&g, 1).with_kernel(SweepKernel::GaussSeidel);
+        gs.set_model(TransitionModel::Standard).unwrap();
+        assert!(matches!(
+            gs.solve_with_teleport(Some(&[-1.0; 10])),
+            Err(SolverError::TeleportEntry(_))
+        ));
         assert!(matches!(
             Engine::new(&g).set_config(PageRankConfig {
                 alpha: 1.0,
@@ -2737,12 +2608,32 @@ mod tests {
     #[test]
     fn empty_graph_and_empty_sweep() {
         let g = GraphBuilder::new(Direction::Directed, 0).build().unwrap();
-        let mut engine = Engine::new(&g);
-        let r = engine.solve_model(TransitionModel::Standard).unwrap();
-        assert!(r.scores.is_empty() && r.converged);
+        for kernel in [SweepKernel::Pull, SweepKernel::GaussSeidel] {
+            let mut engine = Engine::new(&g).with_kernel(kernel);
+            let r = engine.solve_model(TransitionModel::Standard).unwrap();
+            assert!(r.scores.is_empty() && r.converged);
+        }
         let g2 = erdos_renyi_nm(5, 10, 2).unwrap();
         let mut engine2 = Engine::new(&g2);
         assert!(engine2.sweep(&[], false).unwrap().is_empty());
+    }
+
+    #[test]
+    fn gauss_seidel_warm_start_needs_no_more_sweeps_than_cold() {
+        let g = barabasi_albert(200, 3, 8).unwrap();
+        let mut engine = Engine::with_threads(&g, 1)
+            .with_config(PageRankConfig {
+                tolerance: 1e-12,
+                ..Default::default()
+            })
+            .unwrap()
+            .with_kernel(SweepKernel::GaussSeidel);
+        let cold = engine
+            .solve_model(TransitionModel::DegreeDecoupled { p: 1.0 })
+            .unwrap();
+        let warm = engine.resolve_warm(&cold.scores).unwrap();
+        assert_close(&cold.scores, &warm.scores, 1e-9);
+        assert!(warm.iterations <= cold.iterations);
     }
 
     #[test]
@@ -2832,7 +2723,7 @@ mod tests {
     }
 
     #[test]
-    fn resolve_warm_with_teleport_serves_personalized_fixed_point() {
+    fn warm_sweep_with_teleport_serves_personalized_fixed_point() {
         let g = barabasi_albert(200, 3, 21).unwrap();
         let mut t = vec![0.0; 200];
         t[5] = 3.0;
@@ -2844,8 +2735,9 @@ mod tests {
         // Warm re-solve with the same teleport reproduces the personalized
         // fixed point; the uniform entry point would converge elsewhere.
         let warm = engine
-            .resolve_warm_with_teleport(&served.scores, Some(&t))
-            .unwrap();
+            .warm_outcome(&served.scores, Some(&t), None)
+            .unwrap()
+            .result;
         assert_close(&served.scores, &warm.scores, 1e-8);
         assert!(warm.iterations <= served.iterations);
         let uniform = engine.resolve_warm(&served.scores).unwrap();
@@ -3071,7 +2963,7 @@ mod tests {
     }
 
     #[test]
-    fn resolve_incremental_into_delivers_scores_in_caller_buffer() {
+    fn resolve_incremental_tracked_delivers_scores_in_caller_buffer() {
         use d2pr_graph::delta::{DeltaGraph, EdgeBatch};
         let g = barabasi_albert(400, 4, 13).unwrap();
         let model = TransitionModel::DegreeDecoupled { p: 0.5 };
@@ -3087,8 +2979,15 @@ mod tests {
         let mut engine2 = Engine::with_structure(&g2, csc2, 1).unwrap();
         engine2.set_model(model).unwrap();
         let mut buf = vec![0.0; 3]; // any previous contents are discarded
+        let mut touched = TouchedSet::new();
         let inc = engine2
-            .resolve_incremental_into(&before.scores, None, &outcome.delta, &mut buf)
+            .resolve_incremental_tracked(
+                &before.scores,
+                None,
+                &outcome.delta,
+                &mut buf,
+                &mut touched,
+            )
             .unwrap();
         assert!(
             inc.result.scores.is_empty(),

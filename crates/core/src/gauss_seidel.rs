@@ -1,12 +1,16 @@
-//! Gauss–Seidel PageRank.
+//! Gauss–Seidel sweep kernel over the engine's loaded operator.
 //!
-//! The Jacobi-style power iteration in [`mod@crate::pagerank`] computes every
-//! new score from the *previous* iterate. Gauss–Seidel instead consumes
-//! updates immediately (in place), which typically halves the iteration
-//! count for PageRank systems when the sweep order aligns with the graph's
-//! structure, at the cost of a sequential dependency (no trivial
-//! parallelism) and a pull-ordered traversal. The ablation bench measures
-//! the tradeoff on our graphs; the solvers agree to solver tolerance.
+//! The Jacobi-style pull kernel in [`crate::engine`] computes every new
+//! score from the *previous* iterate. Gauss–Seidel instead consumes updates
+//! immediately (in place), which typically halves the iteration count for
+//! PageRank systems when the sweep order aligns with the graph's structure,
+//! at the cost of a sequential dependency (no trivial parallelism). It runs
+//! over the same operator the pull kernel reads — the engine's shared
+//! `CscStructure` rows plus factored or per-arc values — so no second copy
+//! of the operator is ever built. It serves
+//! [`SweepKernel::GaussSeidel`](crate::engine::SweepKernel::GaussSeidel)
+//! sweeps and the engine's tiny-graph incremental fallback
+//! ([`ResolveMode::DenseGaussSeidel`](crate::engine::ResolveMode::DenseGaussSeidel)).
 //!
 //! Implementation: solve `(I − α·T)·r = (1−α)·t` by sweeping nodes in id
 //! order, updating `r[j] ← (1−α)·t[j] + α·Σ_i T(j,i)·r[i]` with the newest
@@ -27,132 +31,127 @@
 //!   solution (and automatically normalized). With no dangling nodes
 //!   `σ = 1` and the outer loop degenerates to one inner solve.
 //!
-//! Personalized teleport vectors and warm starts are supported through the
-//! workspace entry point, which also serves as the dense fallback of the
-//! residual-localized solver ([`crate::residual`]) on tiny graphs.
+//! For a factored operator the row sum gathers from a `rank·inv_denom`
+//! buffer that is updated right after each `rank[j]` write, so every row
+//! still reads the newest iterate — exact Gauss–Seidel semantics.
 
-use crate::error::SolverError;
-use crate::kernel::gather_weighted;
+use crate::engine::{mass_at, EngineOp, PullTopo};
+use crate::kernel::{gather_plain, gather_weighted};
 use crate::pagerank::{DanglingPolicy, PageRankConfig, PageRankResult};
-use crate::parallel::TransposedMatrix;
-use crate::transition::{TransitionMatrix, TransitionModel};
-use crate::workspace::Workspace;
-use d2pr_graph::csr::CsrGraph;
 
 /// Upper bound on `σ` re-estimations for [`DanglingPolicy::Renormalize`].
 /// `σ` converges geometrically at rate ~`α·dᵀx`, so a handful of rounds
 /// suffices; the bound only guards pathological graphs.
 const MAX_SIGMA_ROUNDS: usize = 32;
 
-/// Gauss–Seidel solve over a prebuilt transpose (in-neighbor lists), with
-/// uniform teleportation. Returns the same result type as the power
-/// iteration; all three dangling policies are supported.
-///
-/// # Panics
-/// Panics when the config is invalid.
-pub fn pagerank_gauss_seidel(
-    graph: &CsrGraph,
-    matrix: &TransitionMatrix,
+/// Gauss–Seidel solve over the loaded operator. `rank` holds the
+/// (normalized) initial iterate and is overwritten with the final scores;
+/// `teleport` is the normalized teleport distribution (empty = uniform);
+/// `scaled` is scratch for the factored operator's `rank·inv_denom`
+/// buffer. Inputs are validated by the caller.
+pub(crate) fn solve(
+    topo: &PullTopo<'_>,
+    op: EngineOp<'_>,
     config: &PageRankConfig,
+    rank: &mut [f64],
+    teleport: &[f64],
+    scaled: &mut Vec<f64>,
 ) -> PageRankResult {
-    config.validate().expect("invalid PageRank configuration");
-    let n = graph.num_nodes();
-    if n == 0 {
-        return PageRankResult {
-            scores: vec![],
-            iterations: 0,
-            residual: 0.0,
-            converged: true,
-        };
+    scaled.clear();
+    if let EngineOp::Factored { inv_denom, .. } = op {
+        scaled.extend(rank.iter().zip(inv_denom).map(|(r, d)| r * d));
     }
-    let transpose = TransposedMatrix::build(graph, matrix);
-    gauss_seidel_with_transpose(graph, &transpose, config)
-}
-
-/// Gauss–Seidel solve when the transpose is already available.
-pub fn gauss_seidel_with_transpose(
-    graph: &CsrGraph,
-    transpose: &TransposedMatrix,
-    config: &PageRankConfig,
-) -> PageRankResult {
-    let mut ws = Workspace::new();
-    gauss_seidel_with_workspace(graph, transpose, config, None, None, &mut ws)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`gauss_seidel_with_transpose`] with caller-owned buffers, typed errors,
-/// an optional teleport distribution (`None` = uniform; normalized
-/// internally), and an optional warm-start iterate `init` (`None` = start
-/// from the teleport distribution). Repeated solves through the same
-/// [`Workspace`] perform no rank-buffer allocations (Gauss–Seidel updates
-/// in place, so only the workspace's `rank` buffer is used).
-///
-/// # Errors
-/// Returns [`SolverError::InvalidConfig`] for invalid configurations,
-/// [`SolverError::GraphMismatch`] when the transpose belongs to a
-/// different graph, and the teleport/warm-start validation errors of the
-/// engine entry points.
-pub fn gauss_seidel_with_workspace(
-    graph: &CsrGraph,
-    transpose: &TransposedMatrix,
-    config: &PageRankConfig,
-    teleport: Option<&[f64]>,
-    init: Option<&[f64]>,
-    ws: &mut Workspace,
-) -> Result<PageRankResult, SolverError> {
-    config.validate().map_err(SolverError::InvalidConfig)?;
-    let n = graph.num_nodes();
-    if transpose.num_nodes() != n {
-        return Err(SolverError::GraphMismatch {
-            operator_nodes: transpose.num_nodes(),
-            graph_nodes: n,
-        });
-    }
-    if n == 0 {
-        return Ok(PageRankResult {
-            scores: vec![],
-            iterations: 0,
-            residual: 0.0,
-            converged: true,
-        });
-    }
-    ws.set_teleport(n, teleport)?;
-    ws.init_rank(n, init)?;
-    let (offsets, _, _) = graph.parts();
-    let dangling: Vec<usize> = (0..n).filter(|&v| offsets[v] == offsets[v + 1]).collect();
-
+    let mut sweep = Sweep {
+        topo,
+        op,
+        teleport,
+        uniform: 1.0 / rank.len().max(1) as f64,
+        rank,
+        scaled,
+    };
     match config.dangling {
         DanglingPolicy::RedistributeTeleport | DanglingPolicy::SelfLoop => {
-            Ok(gs_linear(transpose, config, &dangling, ws))
+            gs_linear(&mut sweep, config)
         }
-        DanglingPolicy::Renormalize => Ok(gs_renormalize(transpose, config, &dangling, ws)),
+        DanglingPolicy::Renormalize => gs_renormalize(&mut sweep, config),
     }
 }
 
-/// Teleport probability of node `j` (`t` empty = uniform).
-#[inline]
-fn tele(t: &[f64], uniform: f64, j: usize) -> f64 {
-    if t.is_empty() {
-        uniform
-    } else {
-        t[j]
+/// The live state of one solve: operator, teleport and in-place iterate.
+struct Sweep<'s, 'a> {
+    topo: &'s PullTopo<'a>,
+    op: EngineOp<'a>,
+    teleport: &'s [f64],
+    uniform: f64,
+    rank: &'s mut [f64],
+    scaled: &'s mut Vec<f64>,
+}
+
+impl Sweep<'_, '_> {
+    /// One in-place sweep `rank[j] ← base·t[j] + a·Σ_i T(j,i)·rank[i]`;
+    /// with `self_loop`, dangling rows solve their diagonal `α·rank[j]`
+    /// exactly (`inv_diag = 1/(1−α)`). Returns the L1 change.
+    fn run(&mut self, base: f64, a: f64, self_loop: Option<f64>) -> f64 {
+        let mut delta = 0.0;
+        for j in 0..self.rank.len() {
+            let tj = if self.teleport.is_empty() {
+                self.uniform
+            } else {
+                self.teleport[j]
+            };
+            let (s, e) = self.topo.span(j);
+            let srcs = &self.topo.in_sources[s..e];
+            // Each row's pull completes before rank[j] is overwritten, so
+            // reading the in-place buffers keeps exact Gauss–Seidel
+            // semantics.
+            let pulled = match self.op {
+                EngineOp::Arc(in_probs) => gather_weighted(srcs, &in_probs[s..e], self.rank),
+                EngineOp::Factored { numer, .. } => numer[j] * gather_plain(srcs, self.scaled),
+            };
+            let mut acc = base * tj + a * pulled;
+            if let Some(inv_diag) = self_loop {
+                if self.topo.dangling_mask[j] {
+                    acc *= inv_diag;
+                }
+            }
+            delta += (acc - self.rank[j]).abs();
+            self.rank[j] = acc;
+            if let EngineOp::Factored { inv_denom, .. } = self.op {
+                self.scaled[j] = acc * inv_denom[j];
+            }
+        }
+        delta
+    }
+
+    /// Rescale the iterate to unit mass (and the factored buffer with it).
+    /// Returns the pre-normalization total.
+    fn normalize(&mut self) -> f64 {
+        let total: f64 = self.rank.iter().sum();
+        if total > 0.0 && total.is_finite() {
+            for r in self.rank.iter_mut() {
+                *r /= total;
+            }
+            for s in self.scaled.iter_mut() {
+                *s /= total;
+            }
+        }
+        total
+    }
+
+    fn result(&self, iterations: usize, residual: f64, converged: bool) -> PageRankResult {
+        PageRankResult {
+            scores: self.rank.to_vec(),
+            iterations,
+            residual,
+            converged,
+        }
     }
 }
 
 /// In-place sweeps for the two linear policies.
-fn gs_linear(
-    transpose: &TransposedMatrix,
-    config: &PageRankConfig,
-    dangling: &[usize],
-    ws: &mut Workspace,
-) -> PageRankResult {
-    let n = transpose.num_nodes();
+fn gs_linear(sweep: &mut Sweep<'_, '_>, config: &PageRankConfig) -> PageRankResult {
     let alpha = config.alpha;
-    let uniform = 1.0 / n as f64;
-    let self_loop = config.dangling == DanglingPolicy::SelfLoop;
-    let inv_diag = 1.0 / (1.0 - alpha);
-    let rank = &mut ws.rank;
-    let t = &ws.teleport;
+    let self_loop = (config.dangling == DanglingPolicy::SelfLoop).then(|| 1.0 / (1.0 - alpha));
     let mut iterations = 0usize;
     let mut residual = f64::INFINITY;
 
@@ -160,93 +159,39 @@ fn gs_linear(
         iterations += 1;
         crate::exec::sim_event("gs.iter", iterations);
         // RedistributeTeleport: dangling mass lags one sweep.
-        let coef = if self_loop {
+        let coef = if self_loop.is_some() {
             1.0 - alpha
         } else {
-            let dangling_mass: f64 = dangling.iter().map(|&v| rank[v]).sum();
-            (1.0 - alpha) + alpha * dangling_mass
+            (1.0 - alpha) + alpha * mass_at(sweep.topo.dangling_nodes, sweep.rank)
         };
-        let mut delta = 0.0;
-        let mut dangle_cursor = 0usize;
-        for j in 0..n {
-            let mut acc = coef * tele(t, uniform, j);
-            // Blocked gather over the live iterate: each j's pull completes
-            // before rank[j] is overwritten, so reading the in-place buffer
-            // keeps exact Gauss–Seidel semantics.
-            let (srcs, probs) = transpose.in_slices(j as u32);
-            acc += alpha * gather_weighted(srcs, probs, rank);
-            // `dangling` is ascending and `j` sweeps ascending: one cursor
-            // tells whether `j` is dangling without per-node searches.
-            let is_dangling = match dangling.get(dangle_cursor) {
-                Some(&d) if d == j => {
-                    dangle_cursor += 1;
-                    true
-                }
-                _ => false,
-            };
-            if self_loop && is_dangling {
-                // Dangling diagonal `α·r[j]` solved exactly in place.
-                acc *= inv_diag;
-            }
-            delta += (acc - rank[j]).abs();
-            rank[j] = acc;
-        }
-        residual = delta;
+        residual = sweep.run(coef, alpha, self_loop);
         if residual < config.tolerance {
             break;
         }
     }
     // Lagged dangling mass (and floating error) can drift off unit mass by
     // a tolerance-scale amount; renormalize to the simplex.
-    let total: f64 = rank.iter().sum();
-    if total > 0.0 {
-        for r in rank.iter_mut() {
-            *r /= total;
-        }
-    }
-    PageRankResult {
-        scores: rank.clone(),
-        iterations,
-        residual,
-        converged: residual < config.tolerance,
-    }
+    sweep.normalize();
+    sweep.result(iterations, residual, residual < config.tolerance)
 }
 
 /// Outer `σ` iteration for [`DanglingPolicy::Renormalize`] (see module
 /// docs). Each round Gauss–Seidel-solves the linear system implied by the
 /// current `σ`, normalizes, and re-estimates `σ` from the dangling mass.
-fn gs_renormalize(
-    transpose: &TransposedMatrix,
-    config: &PageRankConfig,
-    dangling: &[usize],
-    ws: &mut Workspace,
-) -> PageRankResult {
-    let n = transpose.num_nodes();
+fn gs_renormalize(sweep: &mut Sweep<'_, '_>, config: &PageRankConfig) -> PageRankResult {
     let alpha = config.alpha;
-    let uniform = 1.0 / n as f64;
-    let rank = &mut ws.rank;
-    let t = &ws.teleport;
     let mut sigma = 1.0f64;
     let mut iterations = 0usize;
     let mut residual = f64::INFINITY;
     let mut converged = false;
 
     'outer: for _round in 0..MAX_SIGMA_ROUNDS {
-        let a_eff = alpha / sigma;
-        let b_eff = (1.0 - alpha) / sigma;
         let mut inner_converged = false;
         let mut prev_delta = f64::INFINITY;
         while iterations < config.max_iterations {
             iterations += 1;
             crate::exec::sim_event("gs.iter", iterations);
-            let mut delta = 0.0;
-            for j in 0..n {
-                let mut acc = b_eff * tele(t, uniform, j);
-                let (srcs, probs) = transpose.in_slices(j as u32);
-                acc += a_eff * gather_weighted(srcs, probs, rank);
-                delta += (acc - rank[j]).abs();
-                rank[j] = acc;
-            }
+            let delta = sweep.run((1.0 - alpha) / sigma, alpha / sigma, None);
             residual = delta;
             if residual < config.tolerance {
                 inner_converged = true;
@@ -260,15 +205,11 @@ fn gs_renormalize(
             }
             prev_delta = delta;
         }
-        let total: f64 = rank.iter().sum();
+        let total = sweep.normalize();
         if total <= 0.0 || !total.is_finite() {
             break;
         }
-        for r in rank.iter_mut() {
-            *r /= total;
-        }
-        let dangling_mass: f64 = dangling.iter().map(|&v| rank[v]).sum();
-        let new_sigma = 1.0 - alpha * dangling_mass;
+        let new_sigma = 1.0 - alpha * mass_at(sweep.topo.dangling_nodes, sweep.rank);
         let shift = (new_sigma - sigma).abs();
         sigma = new_sigma;
         if inner_converged && shift < config.tolerance {
@@ -279,214 +220,5 @@ fn gs_renormalize(
             break;
         }
     }
-    PageRankResult {
-        scores: rank.clone(),
-        iterations,
-        residual,
-        converged,
-    }
-}
-
-/// Convenience: build the operator and solve via Gauss–Seidel.
-pub fn pagerank_gauss_seidel_from_graph(
-    graph: &CsrGraph,
-    model: TransitionModel,
-    config: &PageRankConfig,
-) -> PageRankResult {
-    let matrix = TransitionMatrix::build(graph, model);
-    pagerank_gauss_seidel(graph, &matrix, config)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pagerank::pagerank;
-    use d2pr_graph::builder::GraphBuilder;
-    use d2pr_graph::csr::Direction;
-    use d2pr_graph::generators::{barabasi_albert, erdos_renyi_nm};
-
-    fn close(a: &[f64], b: &[f64], eps: f64) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert!((x - y).abs() < eps, "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn matches_power_iteration_standard() {
-        let g = erdos_renyi_nm(120, 480, 3).unwrap();
-        let cfg = PageRankConfig {
-            tolerance: 1e-12,
-            ..Default::default()
-        };
-        let power = pagerank(&g, TransitionModel::Standard, &cfg);
-        let gs = pagerank_gauss_seidel_from_graph(&g, TransitionModel::Standard, &cfg);
-        close(&power.scores, &gs.scores, 1e-8);
-    }
-
-    #[test]
-    fn matches_power_iteration_decoupled() {
-        let g = barabasi_albert(100, 3, 5).unwrap();
-        let cfg = PageRankConfig {
-            tolerance: 1e-12,
-            ..Default::default()
-        };
-        for p in [-2.0, 0.5, 3.0] {
-            let model = TransitionModel::DegreeDecoupled { p };
-            let power = pagerank(&g, model, &cfg);
-            let gs = pagerank_gauss_seidel_from_graph(&g, model, &cfg);
-            close(&power.scores, &gs.scores, 1e-8);
-        }
-    }
-
-    #[test]
-    fn matches_power_iteration_all_policies_with_dangling() {
-        // Directed graph with dangling tails exercises every policy's
-        // dangling treatment.
-        let mut b = GraphBuilder::new(Direction::Directed, 40);
-        for v in 0..30u32 {
-            b.add_edge(v, v + 1);
-            b.add_edge(v, (v * 7 + 3) % 40);
-        }
-        let g = b.build().unwrap();
-        for policy in [
-            DanglingPolicy::RedistributeTeleport,
-            DanglingPolicy::SelfLoop,
-            DanglingPolicy::Renormalize,
-        ] {
-            let cfg = PageRankConfig {
-                dangling: policy,
-                tolerance: 1e-12,
-                max_iterations: 2_000,
-                ..Default::default()
-            };
-            let power = pagerank(&g, TransitionModel::DegreeDecoupled { p: 0.5 }, &cfg);
-            let gs = pagerank_gauss_seidel_from_graph(
-                &g,
-                TransitionModel::DegreeDecoupled { p: 0.5 },
-                &cfg,
-            );
-            assert!(gs.converged, "policy {policy:?} must converge");
-            close(&power.scores, &gs.scores, 1e-7);
-        }
-    }
-
-    #[test]
-    fn personalized_teleport_matches_power() {
-        let g = erdos_renyi_nm(80, 320, 9).unwrap();
-        let mut t = vec![0.0; 80];
-        t[3] = 2.0;
-        t[11] = 1.0;
-        let cfg = PageRankConfig {
-            tolerance: 1e-12,
-            ..Default::default()
-        };
-        let matrix = TransitionMatrix::build(&g, TransitionModel::Standard);
-        let power = crate::pagerank::pagerank_with_matrix(&g, &matrix, &cfg, Some(&t));
-        let transpose = TransposedMatrix::build(&g, &matrix);
-        let mut ws = Workspace::new();
-        let gs = gauss_seidel_with_workspace(&g, &transpose, &cfg, Some(&t), None, &mut ws)
-            .expect("valid inputs");
-        close(&power.scores, &gs.scores, 1e-8);
-    }
-
-    #[test]
-    fn warm_start_saves_sweeps_and_keeps_fixed_point() {
-        let g = barabasi_albert(200, 3, 8).unwrap();
-        let cfg = PageRankConfig {
-            tolerance: 1e-12,
-            ..Default::default()
-        };
-        let matrix = TransitionMatrix::build(&g, TransitionModel::DegreeDecoupled { p: 1.0 });
-        let transpose = TransposedMatrix::build(&g, &matrix);
-        let mut ws = Workspace::new();
-        let cold = gauss_seidel_with_workspace(&g, &transpose, &cfg, None, None, &mut ws)
-            .expect("valid inputs");
-        let warm =
-            gauss_seidel_with_workspace(&g, &transpose, &cfg, None, Some(&cold.scores), &mut ws)
-                .expect("valid inputs");
-        close(&cold.scores, &warm.scores, 1e-9);
-        assert!(warm.iterations <= cold.iterations);
-    }
-
-    #[test]
-    fn iteration_counts_comparable_to_power() {
-        // Gauss–Seidel's advantage is ordering-dependent (classic web-graph
-        // orderings give ~2x; random orderings can lose it). Assert both
-        // converge and stay within a small factor of each other; the speed
-        // question is measured by the ablation bench, not asserted here.
-        let g = barabasi_albert(400, 4, 7).unwrap();
-        let cfg = PageRankConfig {
-            tolerance: 1e-10,
-            ..Default::default()
-        };
-        let power = pagerank(&g, TransitionModel::Standard, &cfg);
-        let gs = pagerank_gauss_seidel_from_graph(&g, TransitionModel::Standard, &cfg);
-        assert!(power.converged && gs.converged);
-        assert!(
-            gs.iterations <= 3 * power.iterations,
-            "gauss-seidel {} vs power {}",
-            gs.iterations,
-            power.iterations
-        );
-    }
-
-    #[test]
-    fn handles_dangling_nodes() {
-        let mut b = GraphBuilder::new(Direction::Directed, 4);
-        b.add_edge(0, 1);
-        b.add_edge(2, 1);
-        let g = b.build().unwrap();
-        for policy in [
-            DanglingPolicy::RedistributeTeleport,
-            DanglingPolicy::SelfLoop,
-            DanglingPolicy::Renormalize,
-        ] {
-            let cfg = PageRankConfig {
-                dangling: policy,
-                tolerance: 1e-12,
-                max_iterations: 2_000,
-                ..Default::default()
-            };
-            let power = pagerank(&g, TransitionModel::Standard, &cfg);
-            let gs = pagerank_gauss_seidel_from_graph(&g, TransitionModel::Standard, &cfg);
-            close(&power.scores, &gs.scores, 1e-7);
-            assert!(
-                (gs.scores.iter().sum::<f64>() - 1.0).abs() < 1e-9,
-                "policy {policy:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn empty_graph() {
-        let g = GraphBuilder::new(Direction::Directed, 0).build().unwrap();
-        let r = pagerank_gauss_seidel_from_graph(
-            &g,
-            TransitionModel::Standard,
-            &PageRankConfig::default(),
-        );
-        assert!(r.converged);
-        assert!(r.scores.is_empty());
-    }
-
-    #[test]
-    fn rejects_mismatched_transpose() {
-        let g = erdos_renyi_nm(10, 20, 1).unwrap();
-        let g2 = erdos_renyi_nm(12, 24, 1).unwrap();
-        let m = TransitionMatrix::build(&g, TransitionModel::Standard);
-        let transpose = TransposedMatrix::build(&g, &m);
-        let mut ws = Workspace::new();
-        assert!(matches!(
-            gauss_seidel_with_workspace(
-                &g2,
-                &transpose,
-                &PageRankConfig::default(),
-                None,
-                None,
-                &mut ws
-            ),
-            Err(SolverError::GraphMismatch { .. })
-        ));
-    }
+    sweep.result(iterations, residual, converged)
 }

@@ -13,10 +13,11 @@
 //! * [`robust`] — seed-noise-insensitive (robust) personalized PageRank;
 //! * [`approx`] — locality-sensitive PPR (forward push, Monte Carlo);
 //! * [`trace`] — convergence diagnostics for the power iteration;
-//! * [`parallel`] — pull-based parallel solver over a prebuilt transpose;
-//! * [`engine`] — the fused sweep engine: cached CSC operator, persistent
-//!   arc-balanced worker pool, in-place operator updates, incremental
-//!   re-solves (warm sweep / residual-localized push, auto-selected);
+//! * [`engine`] — the fused sweep engine: one cached CSC operator read by
+//!   the pull, Gauss–Seidel and push kernels, persistent arc-balanced
+//!   worker pool, in-place operator updates, incremental re-solves (warm
+//!   sweep / residual-localized push / tiny-graph Gauss–Seidel,
+//!   auto-selected);
 //! * [`serving`] — lock-free double-buffered score publication
 //!   ([`serving::ServingEngine`] / [`serving::ScoreReader`]) and the
 //!   sharded multi-graph manager ([`serving::ShardManager`]);
@@ -52,10 +53,9 @@ pub mod d2pr;
 pub mod engine;
 pub mod error;
 pub mod exec;
-pub mod gauss_seidel;
+mod gauss_seidel;
 pub mod kernel;
 pub mod pagerank;
-pub mod parallel;
 pub mod personalized;
 pub mod pool;
 pub mod residual;

@@ -17,8 +17,8 @@
 //!   comes from a fully published generation;
 //! * [`ServingEngine::ingest`] applies an edge batch, runs
 //!   [`Engine::resolve_incremental`] **into the back buffer**
-//!   ([`Engine::resolve_incremental_into`] swaps the solver's iterate with
-//!   the buffer — no copy), then publishes it by storing the slot index:
+//!   ([`Engine::resolve_incremental_tracked`] swaps the solver's iterate
+//!   with the buffer — no copy), then publishes it by storing the slot index:
 //!   refresh latency no longer gates read availability at all.
 //!
 //! # Publication protocol and memory-ordering argument
@@ -751,7 +751,7 @@ pub struct RecoveryOutcome {
 /// Owns the [`DeltaGraph`], the engine's [`EngineState`] (whose persistent
 /// worker pool rides across every refresh), and the two publication
 /// buffers. The refreshed iterate is *swapped* into the back buffer
-/// ([`Engine::resolve_incremental_into`]) and published with one atomic
+/// ([`Engine::resolve_incremental_tracked`]) and published with one atomic
 /// store — steady-state serving copies no score vector at all.
 ///
 /// ```
@@ -1115,20 +1115,25 @@ impl ServingEngine {
             let replayed_inserted_arcs = delta.inserted.len();
             let replayed_deleted_arcs = delta.deleted.len();
             let mut out = Vec::new();
+            // The fresh serving engine starts with a full top-k rebuild, so
+            // the refresh's touched set is not needed past this call.
+            let mut touched = TouchedSet::new();
             let inc = match &perm {
-                None => engine.resolve_incremental_into(
+                None => engine.resolve_incremental_tracked(
                     &scores,
                     teleport.as_deref(),
                     &delta,
                     &mut out,
+                    &mut touched,
                 )?,
                 Some(p) => {
                     p.permute_values(&scores, &mut scratch.internal_prev);
-                    let inc = engine.resolve_incremental_into(
+                    let inc = engine.resolve_incremental_tracked(
                         &scratch.internal_prev,
                         teleport.as_deref(),
                         &delta,
                         &mut scratch.internal_next,
+                        &mut touched,
                     )?;
                     p.unpermute_values(&scratch.internal_next, &mut out);
                     inc

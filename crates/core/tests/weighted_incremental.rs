@@ -8,7 +8,7 @@
 //! single-edge re-weight at the 1e-6 serving tolerance takes the
 //! localized path and still matches a tight cold solve to ≤ 1e-7 L1.
 
-use d2pr_core::engine::{Engine, ResolveMode};
+use d2pr_core::engine::{Engine, ResolveMode, TouchedSet};
 use d2pr_core::pagerank::{DanglingPolicy, PageRankConfig};
 use d2pr_core::transition::TransitionModel;
 use d2pr_graph::builder::GraphBuilder;
@@ -137,8 +137,15 @@ fn assert_incremental_matches_cold(
         if let Some(t) = &mut teleport {
             t.resize(new_snapshot.num_nodes(), 0.0);
         }
+        let mut refreshed = Vec::new();
         let inc = engine
-            .resolve_incremental_with_teleport(&prev, teleport.as_deref(), &outcome.delta)
+            .resolve_incremental_tracked(
+                &prev,
+                teleport.as_deref(),
+                &outcome.delta,
+                &mut refreshed,
+                &mut TouchedSet::new(),
+            )
             .expect("incremental refresh");
         let cold = engine
             .solve_with_teleport(teleport.as_deref())
@@ -146,7 +153,7 @@ fn assert_incremental_matches_cold(
         let l1: f64 = cold
             .scores
             .iter()
-            .zip(&inc.result.scores)
+            .zip(&refreshed)
             .map(|(a, b)| (a - b).abs())
             .sum();
         prop_assert!(
@@ -154,7 +161,7 @@ fn assert_incremental_matches_cold(
             "batch {i} ({:?}): incremental diverges from cold by {l1:.3e}",
             inc.mode
         );
-        prev = inc.result.scores;
+        prev = refreshed;
         state = engine.into_state();
         snapshot = new_snapshot;
     }

@@ -494,30 +494,71 @@ fn empty_delta_patch_is_identity() {
     assert!(l1 < 1e-8, "empty delta moved the solution by {l1:.3e}");
 }
 
-/// Satellite acceptance: the Gauss–Seidel kernel wired into the engine's
-/// single-partition sweep path matches the pull kernel to 1e-8 — across
-/// dangling policies, personalized teleports, warm-start chaining, and a
-/// dangling-heavy directed graph.
+const POLICIES: [DanglingPolicy; 3] = [
+    DanglingPolicy::RedistributeTeleport,
+    DanglingPolicy::SelfLoop,
+    DanglingPolicy::Renormalize,
+];
+
+/// Directed graph over `n` nodes whose last `n / 6` nodes have no
+/// out-arcs; `weighted` gives the arcs non-uniform weights.
+fn dangling_tail_graph(n: u32, weighted: bool) -> CsrGraph {
+    let mut b = GraphBuilder::new(Direction::Directed, n as usize);
+    for v in 0..n - n / 6 {
+        for (t, w) in [(v + 1, 1.0 + f64::from(v % 5)), ((v * 7 + 3) % n, 0.5)] {
+            if weighted {
+                b.add_weighted_edge(v, t, w);
+            } else {
+                b.add_edge(v, t);
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
+/// `g` (undirected) with non-uniform edge weights.
+fn weighted_copy(g: &CsrGraph) -> CsrGraph {
+    let mut b = GraphBuilder::new(Direction::Undirected, g.num_nodes());
+    for u in g.nodes() {
+        for &v in g.neighbors(u).iter().filter(|&&v| u < v) {
+            b.add_weighted_edge(u, v, 0.5 + f64::from((u * 31 + v) % 7));
+        }
+    }
+    b.build().unwrap()
+}
+
+fn l1(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len());
+    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
+}
+
+/// The Gauss–Seidel kernel wired into the engine's single-partition sweep
+/// path matches the pull kernel to 1e-8 over both operator forms —
+/// factored (`DegreeDecoupled`) and per-arc (`Blended`, β = 0.5, on
+/// weighted graphs) — under every dangling policy, along a warm-start
+/// chain and with a personalized teleport at every grid point.
 #[test]
 fn gauss_seidel_kernel_matches_pull_kernel() {
-    let models: Vec<TransitionModel> = [-1.0, 0.0, 0.5, 1.0]
+    let factored: Vec<TransitionModel> = [-1.0, 0.0, 0.5, 1.0]
         .iter()
         .map(|&p| TransitionModel::DegreeDecoupled { p })
         .collect();
-    // A graph with dangling tails plus a BA graph without.
-    let mut b = GraphBuilder::new(Direction::Directed, 120);
-    for v in 0..100u32 {
-        b.add_edge(v, v + 1);
-        b.add_edge(v, (v * 7 + 3) % 120);
-    }
-    let dangling_graph = b.build().unwrap();
+    let arc: Vec<TransitionModel> = [-1.0, 0.5, 2.0]
+        .iter()
+        .map(|&p| TransitionModel::Blended { p, beta: 0.5 })
+        .collect();
     let ba = barabasi_albert(300, 3, 17).unwrap();
-    for g in [&dangling_graph, &ba] {
-        for policy in [
-            DanglingPolicy::RedistributeTeleport,
-            DanglingPolicy::SelfLoop,
-            DanglingPolicy::Renormalize,
-        ] {
+    let cases = [
+        (dangling_tail_graph(120, false), &factored),
+        (ba.clone(), &factored),
+        (dangling_tail_graph(120, true), &arc),
+        (weighted_copy(&ba), &arc),
+    ];
+    for (g, models) in &cases {
+        let mut t = vec![0.0; g.num_nodes()];
+        t[7] = 2.0;
+        t[11] = 1.0;
+        for policy in POLICIES {
             let config = PageRankConfig {
                 dangling: policy,
                 ..tight_config()
@@ -528,44 +569,98 @@ fn gauss_seidel_kernel_matches_pull_kernel() {
                 .unwrap()
                 .with_kernel(SweepKernel::GaussSeidel);
             assert_eq!(gs.kernel(), SweepKernel::GaussSeidel);
-            let rp = pull.sweep(&models, true).unwrap();
-            let rg = gs.sweep(&models, true).unwrap();
-            for ((a, b), model) in rp.iter().zip(&rg).zip(&models) {
+            let rp = pull.sweep(models, true).unwrap();
+            let rg = gs.sweep(models, true).unwrap();
+            for ((a, b), model) in rp.iter().zip(&rg).zip(models.iter()) {
                 assert!(a.converged && b.converged, "{policy:?} {model:?}");
-                let l1: f64 = a
-                    .scores
-                    .iter()
-                    .zip(&b.scores)
-                    .map(|(x, y)| (x - y).abs())
-                    .sum();
+                let d = l1(&a.scores, &b.scores);
+                assert!(d < 1e-8, "{policy:?} {model:?}: kernel divergence {d:.3e}");
+            }
+            for &model in models.iter() {
+                pull.set_model(model).unwrap();
+                gs.set_model(model).unwrap();
+                let a = pull.solve_with_teleport(Some(&t)).unwrap();
+                let b = gs.solve_with_teleport(Some(&t)).unwrap();
+                assert!(a.converged && b.converged, "{policy:?} {model:?}");
+                let d = l1(&a.scores, &b.scores);
                 assert!(
-                    l1 < 1e-8,
-                    "{policy:?} {model:?}: kernel divergence {l1:.3e}"
+                    d < 1e-8,
+                    "{policy:?} {model:?}: personalized kernel divergence {d:.3e}"
                 );
             }
         }
     }
-    // Personalized teleport parity.
-    let mut t = vec![0.0; 300];
-    t[7] = 2.0;
-    t[11] = 1.0;
-    let model = TransitionModel::DegreeDecoupled { p: 0.5 };
-    let mut pull = Engine::with_threads(&ba, 1)
-        .with_config(tight_config())
-        .unwrap();
-    pull.set_model(model).unwrap();
-    let rp = pull.solve_with_teleport(Some(&t)).unwrap();
-    let mut gs = Engine::with_threads(&ba, 1)
-        .with_config(tight_config())
-        .unwrap()
-        .with_kernel(SweepKernel::GaussSeidel);
-    gs.set_model(model).unwrap();
-    let rg = gs.solve_with_teleport(Some(&t)).unwrap();
-    let l1: f64 = rp
-        .scores
-        .iter()
-        .zip(&rg.scores)
-        .map(|(x, y)| (x - y).abs())
-        .sum();
-    assert!(l1 < 1e-8, "personalized kernel divergence {l1:.3e}");
+}
+
+/// An absent arc `u -> v` between two nodes of least out-degree, with `u`
+/// not dangling (so the batch moves no node in or out of the dangling set).
+fn low_degree_gap(g: &CsrGraph) -> (u32, u32) {
+    let mut by_degree: Vec<u32> = g.nodes().filter(|&v| g.out_degree(v) > 0).collect();
+    by_degree.sort_by_key(|&v| (g.out_degree(v) + g.in_degree(v), v));
+    for &u in &by_degree {
+        for &v in &by_degree {
+            if u != v && !g.has_arc(u, v) {
+                return (u, v);
+            }
+        }
+    }
+    panic!("graph is complete");
+}
+
+/// Graphs of at most 128 nodes take the dense fallback: `resolve_incremental`
+/// runs Gauss–Seidel over the loaded operator, warm-started from the
+/// previous scores, reports `ResolveMode::DenseGaussSeidel`, and lands
+/// within 1e-8 L1 of a 1e-12 cold solve — factored and arc-mode models,
+/// every policy. (`Renormalize` with dangling nodes is non-affine and takes
+/// the warm sweep before the fallback, so the dangling graph runs the two
+/// linear policies.)
+#[test]
+fn tiny_graph_resolve_runs_dense_gauss_seidel() {
+    let models = [
+        TransitionModel::DegreeDecoupled { p: 0.5 },
+        TransitionModel::Blended { p: 0.5, beta: 0.5 },
+    ];
+    let cases = [
+        (barabasi_albert(120, 2, 5).unwrap(), &POLICIES[..]),
+        (dangling_tail_graph(120, false), &POLICIES[..2]),
+    ];
+    for (g, policies) in &cases {
+        let (u, v) = low_degree_gap(g);
+        let mut batch = EdgeBatch::new();
+        batch.insert(u, v);
+        let mut dg = DeltaGraph::new(g.clone()).unwrap();
+        let outcome = dg.apply_batch(&batch).unwrap();
+        let g2 = dg.snapshot();
+        for &policy in policies.iter() {
+            let config = PageRankConfig {
+                dangling: policy,
+                ..tight_config()
+            };
+            for model in models {
+                let mut before = Engine::with_threads(g, 1).with_config(config).unwrap();
+                let previous = before.solve_model(model).unwrap().scores;
+                let mut engine = Engine::with_threads(&g2, 1).with_config(config).unwrap();
+                engine.set_model(model).unwrap();
+                let inc = engine
+                    .resolve_incremental(&previous, &outcome.delta)
+                    .unwrap();
+                assert_eq!(
+                    inc.mode,
+                    ResolveMode::DenseGaussSeidel,
+                    "{policy:?} {model:?}"
+                );
+                assert!(inc.result.converged, "{policy:?} {model:?}");
+                let cold = Engine::with_threads(&g2, 1)
+                    .with_config(PageRankConfig {
+                        tolerance: 1e-12,
+                        ..config
+                    })
+                    .unwrap()
+                    .solve_model(model)
+                    .unwrap();
+                let d = l1(&cold.scores, &inc.result.scores);
+                assert!(d < 1e-8, "{policy:?} {model:?}: {d:.3e} from cold");
+            }
+        }
+    }
 }

@@ -1,12 +1,11 @@
-//! Cross-solver equivalence on generated worlds: the power iteration,
-//! Gauss–Seidel, parallel pull, forward push and Monte-Carlo estimators all
-//! target the same fixed point — so do their rankings, up to each method's
-//! accuracy class.
+//! Cross-solver equivalence on generated worlds: the power iteration, the
+//! engine's Gauss–Seidel and pooled pull kernels, forward push and
+//! Monte-Carlo estimators all target the same fixed point — so do their
+//! rankings, up to each method's accuracy class.
 
 use d2pr::core::approx::{forward_push, monte_carlo_ppr};
-use d2pr::core::gauss_seidel::pagerank_gauss_seidel;
+use d2pr::core::engine::SweepKernel;
 use d2pr::core::pagerank::{pagerank_with_matrix, PageRankConfig};
-use d2pr::core::parallel::{pagerank_parallel, TransposedMatrix};
 use d2pr::core::trace::trace_convergence;
 use d2pr::core::{TransitionMatrix, TransitionModel};
 use d2pr::prelude::*;
@@ -37,9 +36,17 @@ fn all_exact_solvers_agree_on_a_world() {
         let model = TransitionModel::DegreeDecoupled { p };
         let matrix = TransitionMatrix::build(&g, model);
         let power = pagerank_with_matrix(&g, &matrix, &tight(), None);
-        let gs = pagerank_gauss_seidel(&g, &matrix, &tight());
-        let transpose = TransposedMatrix::build(&g, &matrix);
-        let par = pagerank_parallel(&transpose, &tight(), None, 4).expect("valid inputs");
+        let gs = Engine::with_threads(&g, 1)
+            .with_config(tight())
+            .expect("valid config")
+            .with_kernel(SweepKernel::GaussSeidel)
+            .solve_model(model)
+            .expect("valid inputs");
+        let par = Engine::with_threads(&g, 4)
+            .with_config(tight())
+            .expect("valid config")
+            .solve_model(model)
+            .expect("valid inputs");
         for i in 0..g.num_nodes() {
             assert!(
                 (power.scores[i] - gs.scores[i]).abs() < 1e-8,
